@@ -58,38 +58,42 @@ impl Allocator for ChaitinBriggs {
                 .collect();
 
             let mut stack: Vec<usize> = Vec::with_capacity(present.len());
-            let mut removed = BitSet::new(n);
-            let mut remaining = present.len();
+            // Present and not yet removed.
+            let mut alive = present.clone();
+            // Alive with degree < R: the simplify candidates, kept
+            // current as degrees drop.
+            let mut low =
+                BitSet::from_iter_with_capacity(n, present.iter().filter(|&v| degree[v] < r_us));
 
-            while remaining > 0 {
-                // Simplify: any vertex with degree < R.
-                let simplifiable = present
-                    .iter()
-                    .find(|&v| !removed.contains(v) && degree[v] < r_us);
+            while !alive.is_empty() {
+                // Simplify: the lowest-numbered vertex with degree < R.
+                let simplifiable = low.iter().next();
                 let v = match simplifiable {
                     Some(v) => v,
                     None => {
                         // Spill candidate: minimise cost/degree
                         // (compare by cross-multiplication to stay in
                         // integers).
-                        present
+                        alive
                             .iter()
-                            .filter(|&v| !removed.contains(v))
                             .min_by(|&a, &b| {
                                 let lhs = wg.weight(a) as u128 * degree[b].max(1) as u128;
                                 let rhs = wg.weight(b) as u128 * degree[a].max(1) as u128;
                                 lhs.cmp(&rhs).then(a.cmp(&b))
                             })
-                            .expect("graph nonempty while remaining > 0")
+                            .expect("graph nonempty while vertices remain")
                     }
                 };
-                removed.insert(v);
-                remaining -= 1;
+                alive.remove(v);
+                low.remove(v);
                 stack.push(v);
                 for &u in g.neighbor_indices(v) {
                     let u = u as usize;
-                    if present.contains(u) && !removed.contains(u) {
+                    if alive.contains(u) {
                         degree[u] = degree[u].saturating_sub(1);
+                        if degree[u] < r_us {
+                            low.insert(u);
+                        }
                     }
                 }
             }
@@ -97,8 +101,9 @@ impl Allocator for ChaitinBriggs {
             // Select phase: optimistic colouring.
             let mut color: Vec<Option<u32>> = vec![None; n];
             let mut new_spills = Vec::new();
+            let mut used = vec![false; r_us];
             while let Some(v) = stack.pop() {
-                let mut used = vec![false; r_us];
+                used.fill(false);
                 for &u in g.neighbor_indices(v) {
                     if let Some(c) = color[u as usize] {
                         if (c as usize) < r_us {
@@ -116,7 +121,8 @@ impl Allocator for ChaitinBriggs {
                 let mut allocated = present;
                 debug_assert!(allocated.iter().all(|v| color[v].is_some()));
                 allocated.difference_with(&spilled);
-                return instance.allocation_from_set(allocated);
+                let colors = color.iter().map(|c| c.unwrap_or(0)).collect();
+                return instance.allocation_from_set(allocated).with_witness(colors);
             }
             for v in new_spills {
                 spilled.insert(v);
@@ -215,5 +221,109 @@ mod tests {
         assert!(!a.allocated.contains(0));
         assert_eq!(a.spill_cost, 12);
         assert!(verify::check(&inst, &a, 1).is_feasible());
+    }
+
+    /// The simplify loop as it was before the `low` candidate set: a
+    /// rescan of every vertex per removal. Test-only oracle.
+    fn rescan_allocate(instance: &Instance, r: u32) -> BitSet {
+        let g = instance.graph();
+        let wg = instance.weighted_graph();
+        let n = g.vertex_count();
+        let r_us = r as usize;
+        let mut spilled = BitSet::new(n);
+        if r == 0 {
+            return BitSet::new(n);
+        }
+        loop {
+            let mut present = BitSet::full(n);
+            present.difference_with(&spilled);
+            let mut degree: Vec<usize> = (0..n)
+                .map(|v| {
+                    if present.contains(v) {
+                        g.adjacent_count_in(v, &present)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let mut stack: Vec<usize> = Vec::with_capacity(present.len());
+            let mut removed = BitSet::new(n);
+            let mut remaining = present.len();
+            while remaining > 0 {
+                let simplifiable = present
+                    .iter()
+                    .find(|&v| !removed.contains(v) && degree[v] < r_us);
+                let v = match simplifiable {
+                    Some(v) => v,
+                    None => present
+                        .iter()
+                        .filter(|&v| !removed.contains(v))
+                        .min_by(|&a, &b| {
+                            let lhs = wg.weight(a) as u128 * degree[b].max(1) as u128;
+                            let rhs = wg.weight(b) as u128 * degree[a].max(1) as u128;
+                            lhs.cmp(&rhs).then(a.cmp(&b))
+                        })
+                        .expect("graph nonempty while remaining > 0"),
+                };
+                removed.insert(v);
+                remaining -= 1;
+                stack.push(v);
+                for &u in g.neighbor_indices(v) {
+                    let u = u as usize;
+                    if present.contains(u) && !removed.contains(u) {
+                        degree[u] = degree[u].saturating_sub(1);
+                    }
+                }
+            }
+            let mut color: Vec<Option<u32>> = vec![None; n];
+            let mut new_spills = Vec::new();
+            while let Some(v) = stack.pop() {
+                let mut used = vec![false; r_us];
+                for &u in g.neighbor_indices(v) {
+                    if let Some(c) = color[u as usize] {
+                        if (c as usize) < r_us {
+                            used[c as usize] = true;
+                        }
+                    }
+                }
+                match used.iter().position(|&b| !b) {
+                    Some(c) => color[v] = Some(c as u32),
+                    None => new_spills.push(v),
+                }
+            }
+            if new_spills.is_empty() {
+                let mut allocated = present;
+                allocated.difference_with(&spilled);
+                return allocated;
+            }
+            for v in new_spills {
+                spilled.insert(v);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(60))]
+
+        #[test]
+        fn low_set_simplify_matches_the_rescan(
+            seed in 0u64..1_000_000,
+            n in 0usize..120,
+            density in 2u32..60,
+            r in 1u32..=6,
+        ) {
+            use lra_graph::generate;
+            use rand::SeedableRng;
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let g = if seed % 2 == 0 {
+                generate::random_general(&mut rng, n, density)
+            } else {
+                generate::random_chordal(&mut rng, n, n + n / 2, 4)
+            };
+            let inst = instance(g, generate::random_weights(&mut rng, n, 2));
+            let a = ChaitinBriggs::new().allocate(&inst, r);
+            proptest::prop_assert_eq!(a.allocated, rescan_allocate(&inst, r));
+            proptest::prop_assert!(verify::check(&inst, &a, r).is_feasible());
+        }
     }
 }

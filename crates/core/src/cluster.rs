@@ -86,13 +86,16 @@ impl Allocator for LayeredHeuristic {
         clusters.sort_by_key(|c| std::cmp::Reverse(wg.weight_of_slice(c)));
         clusters.truncate(r as usize);
 
+        // Each cluster is a stable set, so its index is a register.
         let mut allocated = BitSet::new(n);
-        for c in &clusters {
+        let mut colors = vec![0u32; n];
+        for (i, c) in clusters.iter().enumerate() {
             for &v in c {
                 allocated.insert(v);
+                colors[v] = i as u32;
             }
         }
-        instance.allocation_from_set(allocated)
+        instance.allocation_from_set(allocated).with_witness(colors)
     }
 }
 

@@ -9,6 +9,12 @@
 //! (`GC` and `LH`) so pruning bites immediately; the bound is the spill
 //! cost accumulated so far (every completion only adds spills).
 //!
+//! The search runs on a relabelled copy of the graph: vertex `i` is the
+//! `i`-th vertex in search order, and neighbourhood rows and colour
+//! classes are flat runs of `W` words (`W = ⌈n/64⌉`). One generic
+//! search is monomorphised for `W = 1..=4` (up to 256 vertices) and
+//! runs on heap-sized rows above that.
+//!
 //! JVM-method-sized graphs (≲ 40 vertices) solve in well under the node
 //! budget; the solver returns `None` if the budget is exhausted, so a
 //! caller can distinguish *certified* optima from timeouts.
@@ -24,24 +30,55 @@ use std::time::Instant;
 /// A power of two so the check compiles to a mask test.
 const DEADLINE_STRIDE: u64 = 4096;
 
-struct Search<'a> {
-    instance: &'a Instance,
-    order: Vec<usize>,
+/// Words per bit row: a compile-time constant for the fixed widths, a
+/// runtime one for heap rows.
+trait Width: Copy {
+    fn words(self) -> usize;
+}
+
+#[derive(Clone, Copy)]
+struct Fixed<const W: usize>;
+
+impl<const W: usize> Width for Fixed<W> {
+    #[inline(always)]
+    fn words(self) -> usize {
+        W
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Heap(usize);
+
+impl Width for Heap {
+    #[inline(always)]
+    fn words(self) -> usize {
+        self.0
+    }
+}
+
+struct Search<'a, Wd: Width> {
+    width: Wd,
+    /// Neighbourhood row of each search position, over positions.
+    rows: &'a [u64],
+    /// Spill weight of each search position.
+    weights: &'a [Cost],
     r: u32,
-    /// Vertices currently holding each colour, as bit rows: colour `c`
-    /// is free for `v` iff `assigned[c]` is disjoint from `v`'s
-    /// neighbourhood row — a word-level test instead of one
-    /// colour-lookup per neighbour on every search node.
-    assigned: Vec<BitSet>,
+    /// Positions currently holding each colour: colour `c` is free for
+    /// position `i` iff class `c` is disjoint from row `i`.
+    classes: Vec<u64>,
+    /// The colour classes of the best leaf found so far.
+    best_classes: Vec<u64>,
     best_spill: Cost,
-    best_set: BitSet,
     nodes: u64,
     node_limit: u64,
     deadline: Option<Instant>,
 }
 
-impl Search<'_> {
-    fn run(&mut self, i: usize, spill: Cost, used_colors: u32, allocated: &mut BitSet) -> bool {
+impl<Wd: Width> Search<'_, Wd> {
+    /// Counts one search node; `false` once the fuel or the deadline
+    /// trips.
+    #[inline(always)]
+    fn count_node(&mut self) -> bool {
         self.nodes += 1;
         if self.nodes > self.node_limit {
             return false;
@@ -53,38 +90,88 @@ impl Search<'_> {
                 }
             }
         }
+        true
+    }
+
+    /// Enters the child node `(i, spill, used_colors)`. A child the
+    /// prune test rejects on entry is counted here, without the call.
+    #[inline(always)]
+    fn visit(&mut self, i: usize, spill: Cost, used_colors: u32) -> bool {
+        if spill >= self.best_spill {
+            return self.count_node();
+        }
+        self.run(i, spill, used_colors)
+    }
+
+    fn run(&mut self, i: usize, spill: Cost, used_colors: u32) -> bool {
+        if !self.count_node() {
+            return false;
+        }
         if spill >= self.best_spill {
             return true; // prune: cannot improve
         }
-        if i == self.order.len() {
+        if i == self.weights.len() {
             self.best_spill = spill;
-            self.best_set = allocated.clone();
+            self.best_classes.copy_from_slice(&self.classes);
             return true;
         }
-        let v = self.order[i];
-        let row = self.instance.graph().neighbor_row(v);
+        let w = self.width.words();
+        let rows = self.rows;
+        let row = &rows[i * w..(i + 1) * w];
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
 
         // Try colours first (allocating is never charged), with symmetry
         // breaking: at most one fresh colour.
         let limit = (used_colors + 1).min(self.r);
         for c in 0..limit {
-            if !row.is_disjoint(&self.assigned[c as usize]) {
+            let class = &self.classes[c as usize * w..(c as usize + 1) * w];
+            if row.iter().zip(class).any(|(a, b)| a & b != 0) {
                 continue; // a neighbour holds this colour
             }
-            self.assigned[c as usize].insert(v);
-            allocated.insert(v);
-            let ok = self.run(i + 1, spill, used_colors.max(c + 1), allocated);
-            allocated.remove(v);
-            self.assigned[c as usize].remove(v);
+            self.classes[c as usize * w + word] |= bit;
+            let ok = self.visit(i + 1, spill, used_colors.max(c + 1));
+            self.classes[c as usize * w + word] &= !bit;
             if !ok {
                 return false;
             }
         }
 
         // Spill branch.
-        let w = self.instance.weighted_graph().weight(v);
-        self.run(i + 1, spill + w, used_colors, allocated)
+        self.visit(i + 1, spill + self.weights[i], used_colors)
     }
+}
+
+/// Runs the search at one row width; returns whether it completed, the
+/// nodes it counted and the best leaf's colour classes.
+fn search<Wd: Width>(
+    width: Wd,
+    rows: &[u64],
+    weights: &[Cost],
+    r: u32,
+    incumbent_spill: Cost,
+    budget: &SolveBudget,
+) -> (bool, u64, Vec<u64>) {
+    // min(r, n) classes: the search can never use more colours than
+    // vertices, and an absurd caller-supplied R must not allocate R
+    // rows.
+    let classes = vec![0; (r as usize).min(weights.len()) * width.words()];
+    let mut s = Search {
+        width,
+        rows,
+        weights,
+        r,
+        best_classes: classes.clone(),
+        classes,
+        // `run` records strictly better solutions only, so start one
+        // above the incumbent: a completed search always ends on a
+        // leaf at least as good as it.
+        best_spill: incumbent_spill + 1,
+        nodes: 0,
+        node_limit: budget.node_limit,
+        deadline: budget.deadline,
+    };
+    let completed = s.run(0, 0, 0);
+    (completed, s.nodes, s.best_classes)
 }
 
 /// Solves `instance` exactly with `r` registers, or returns `None` if
@@ -96,6 +183,23 @@ pub fn solve(instance: &Instance, r: u32, node_limit: u64) -> Option<Allocation>
 /// [`solve`] under a full [`SolveBudget`]: aborts (returning `None`)
 /// on node-fuel exhaustion *or* when the cooperative deadline passes.
 pub fn solve_budgeted(instance: &Instance, r: u32, budget: &SolveBudget) -> Option<Allocation> {
+    solve_metered(instance, r, budget, None, &mut 0)
+}
+
+/// [`solve_budgeted`] that reports the search nodes it counted through
+/// `spent` (on success and on abort; a fuel abort leaves
+/// `node_limit + 1`) and accepts the `LH` allocation of this very
+/// instance as `lh_seed`, sparing the recomputation of that incumbent.
+/// The `GC` incumbent is always computed: the better of the two
+/// bounds the search, so a seed changes no decision.
+pub fn solve_metered(
+    instance: &Instance,
+    r: u32,
+    budget: &SolveBudget,
+    lh_seed: Option<&Allocation>,
+    spent: &mut u64,
+) -> Option<Allocation> {
+    *spent = 0;
     if budget.expired() {
         return None;
     }
@@ -106,46 +210,60 @@ pub fn solve_budgeted(instance: &Instance, r: u32, budget: &SolveBudget) -> Opti
 
     // Incumbent: the better of the two polynomial heuristics. LH works
     // on any graph; GC too.
-    let seed_a = LayeredHeuristic::new().allocate(instance, r);
-    let seed_b = ChaitinBriggs::new().allocate(instance, r);
-    let (incumbent_spill, incumbent_set) = if seed_a.spill_cost <= seed_b.spill_cost {
-        (seed_a.spill_cost, seed_a.allocated)
-    } else {
-        (seed_b.spill_cost, seed_b.allocated)
+    let lh_spill = match lh_seed {
+        Some(a) => a.spill_cost,
+        None => LayeredHeuristic::new().allocate(instance, r).spill_cost,
     };
+    let gc_spill = ChaitinBriggs::new().allocate(instance, r).spill_cost;
+    let incumbent_spill = lh_spill.min(gc_spill);
 
+    let g = instance.graph();
     let wg = instance.weighted_graph();
     // Decreasing weight puts expensive spills early (strong bounds);
     // ties broken by degree so constrained vertices are decided first.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse((wg.weight(v), instance.graph().degree(v))));
+    order.sort_by_key(|&v| std::cmp::Reverse((wg.weight(v), g.degree(v))));
+    let mut position = vec![0usize; n];
+    for (i, &v) in order.iter().enumerate() {
+        position[v] = i;
+    }
+    let words = n.div_ceil(64).max(1);
+    let mut rows = vec![0u64; n * words];
+    for (i, &v) in order.iter().enumerate() {
+        for &u in g.neighbor_indices(v) {
+            let j = position[u as usize];
+            rows[i * words + j / 64] |= 1 << (j % 64);
+        }
+    }
+    let weights: Vec<Cost> = order.iter().map(|&v| wg.weight(v)).collect();
 
-    let mut search = Search {
-        instance,
-        order,
-        r,
-        // min(r, n): the search can never use more colours than
-        // vertices, and an absurd caller-supplied R must not allocate
-        // R bit rows.
-        assigned: vec![BitSet::new(n); (r as usize).min(n)],
-        // `run` records strictly better solutions only, so start one
-        // above the incumbent; if nothing beats it, return it as is.
-        best_spill: incumbent_spill + 1,
-        best_set: incumbent_set.clone(),
-        nodes: 0,
-        node_limit: budget.node_limit,
-        deadline: budget.deadline,
+    let (completed, nodes, classes) = match words {
+        1 => search(Fixed::<1>, &rows, &weights, r, incumbent_spill, budget),
+        2 => search(Fixed::<2>, &rows, &weights, r, incumbent_spill, budget),
+        3 => search(Fixed::<3>, &rows, &weights, r, incumbent_spill, budget),
+        4 => search(Fixed::<4>, &rows, &weights, r, incumbent_spill, budget),
+        w => search(Heap(w), &rows, &weights, r, incumbent_spill, budget),
     };
-    let completed = search.run(0, 0, 0, &mut BitSet::new(n));
+    *spent = nodes;
     if !completed {
         return None;
     }
-    let best = if search.best_spill <= incumbent_spill {
-        search.best_set
-    } else {
-        incumbent_set
-    };
-    Some(instance.allocation_from_set(best))
+    // The allocated set is the union of the best leaf's colour classes,
+    // and the classes themselves are the witness colouring.
+    let mut allocated = BitSet::new(n);
+    let mut colors = vec![0u32; n];
+    for (c, class) in classes.chunks_exact(words).enumerate() {
+        for (k, &word) in class.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = order[k * 64 + bits.trailing_zeros() as usize];
+                allocated.insert(v);
+                colors[v] = c as u32;
+                bits &= bits - 1;
+            }
+        }
+    }
+    Some(instance.allocation_from_set(allocated).with_witness(colors))
 }
 
 #[cfg(test)]
@@ -198,6 +316,28 @@ mod tests {
             }
         }
         best
+    }
+
+    #[test]
+    fn witness_is_the_best_leafs_colouring() {
+        // Past 128 vertices, so the rows span three words.
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let g = generate::random_general(&mut rng, 130, 3);
+        let max_degree = (0..130).map(|v| g.degree(v)).max().unwrap() as u32;
+        let inst = instance(g, generate::random_weights(&mut rng, 130, 2));
+        // With more than Δ registers the first descent colours every
+        // vertex, so the search certifies at once.
+        for r in max_degree + 1..=max_degree + 2 {
+            let a = solve(&inst, r, 10_000_000).unwrap();
+            let colors = a.witness.as_ref().expect("a completed search has a leaf");
+            for v in a.allocated.iter() {
+                assert!(colors[v] < r);
+                for &u in inst.graph().neighbor_indices(v) {
+                    let u = u as usize;
+                    assert!(!a.allocated.contains(u) || colors[u] != colors[v]);
+                }
+            }
+        }
     }
 
     #[test]

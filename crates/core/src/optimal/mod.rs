@@ -16,6 +16,8 @@
 pub mod branch_bound;
 pub mod chordal_dp;
 pub mod flow;
+#[cfg(test)]
+mod reference;
 
 use crate::problem::{Allocation, Allocator, Instance};
 use std::time::{Duration, Instant};
@@ -155,6 +157,25 @@ impl Optimal {
         r: u32,
         budget: &SolveBudget,
     ) -> Option<Allocation> {
+        self.try_allocate_metered(instance, r, budget, None, &mut 0)
+    }
+
+    /// [`Optimal::try_allocate`] that reports the fuel it consumed —
+    /// DP masks plus search nodes, at most `budget.node_limit + 1` (the
+    /// unit that tripped the cap) — and accepts the instance's `LH`
+    /// allocation as the branch-and-bound seed
+    /// ([`branch_bound::solve_metered`]). Min-cost flow is not metered
+    /// and spends nothing. The seed changes no decision: the result and
+    /// `spent` equal those of the unseeded call.
+    pub fn try_allocate_metered(
+        &self,
+        instance: &Instance,
+        r: u32,
+        budget: &SolveBudget,
+        lh_seed: Option<&Allocation>,
+        spent: &mut u64,
+    ) -> Option<Allocation> {
+        *spent = 0;
         if budget.expired() {
             return None;
         }
@@ -162,11 +183,10 @@ impl Optimal {
             return Some(flow::solve(instance, r));
         }
         if instance.is_chordal() {
-            let mut spent = 0;
-            if let Some(a) = chordal_dp::solve_metered(instance, r, budget, &mut spent) {
+            if let Some(a) = chordal_dp::solve_metered(instance, r, budget, spent) {
                 return Some(a);
             }
-            let remaining = budget.node_limit.saturating_sub(spent);
+            let remaining = budget.node_limit.saturating_sub(*spent);
             if remaining == 0 {
                 return None;
             }
@@ -174,9 +194,12 @@ impl Optimal {
                 node_limit: remaining,
                 deadline: budget.deadline,
             };
-            return branch_bound::solve_budgeted(instance, r, &fallback);
+            let dp_spent = *spent;
+            let out = branch_bound::solve_metered(instance, r, &fallback, lh_seed, spent);
+            *spent += dp_spent;
+            return out;
         }
-        branch_bound::solve_budgeted(instance, r, budget)
+        branch_bound::solve_metered(instance, r, budget, lh_seed, spent)
     }
 }
 

@@ -269,13 +269,18 @@ impl Portfolio {
     /// The cheap tier for `instance`: the configured allocator when
     /// its structural requirements hold, `LH` otherwise.
     fn cheap_for(&self, instance: &Instance) -> &dyn Allocator {
-        let unusable = (self.cheap_spec.needs_chordal && !instance.is_chordal())
-            || (self.cheap_spec.needs_intervals && instance.intervals().is_none());
-        if unusable {
+        if self.cheap_falls_back(instance) {
             &self.fallback
         } else {
             self.cheap.as_ref()
         }
+    }
+
+    /// `true` when the configured cheap tier cannot run on `instance`
+    /// and [`Portfolio::cheap_for`] substitutes `LH`.
+    fn cheap_falls_back(&self, instance: &Instance) -> bool {
+        (self.cheap_spec.needs_chordal && !instance.is_chordal())
+            || (self.cheap_spec.needs_intervals && instance.intervals().is_none())
     }
 
     /// Runs the full policy and returns the decision record; see the
@@ -327,13 +332,18 @@ impl Portfolio {
                 source: PortfolioSource::Cheap,
             };
         }
-        // The fuel *granted* to the exact tier, recorded at the
-        // escalation decision: the solvers do not uniformly report
-        // consumed nodes, and the grant is what the budget policy
-        // actually controls.
-        crate::trace::add_fuel(fuel);
+        // An LH cheap tier already computed the exact tier's LH
+        // incumbent; hand it over instead of recomputing it.
+        let lh_seed =
+            (self.cheap_spec.name == "LH" || self.cheap_falls_back(instance)).then_some(&cheap);
         let budget = SolveBudget::nodes(fuel).with_time(self.cfg.time_budget);
-        match self.exact.try_allocate(instance, r, &budget) {
+        let mut spent = 0;
+        let exact = self
+            .exact
+            .try_allocate_metered(instance, r, &budget, lh_seed, &mut spent);
+        // The fuel *consumed*: an exhausted search used its whole grant.
+        crate::trace::add_fuel(spent.min(fuel));
+        match exact {
             Some(exact) if exact.spill_cost < cheap_cost => PortfolioOutcome {
                 allocation: exact,
                 cheap_cost,
@@ -592,6 +602,34 @@ mod tests {
         let b = pinned.decide(&inst, 2);
         assert!(outcomes_equal(&a, &b));
         assert!(a.escalated && a.certified);
+    }
+
+    #[test]
+    fn traced_fuel_is_what_the_exact_tier_consumed() {
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+        let inst =
+            Instance::from_weighted_graph(WeightedGraph::new(g, vec![5101, 5102, 5103, 5104, 1]));
+        let mut spent = 0;
+        let lh = LayeredHeuristic::new().allocate(&inst, 2);
+        let grant = SolveBudget::nodes(100_000);
+        Optimal::new().try_allocate_metered(&inst, 2, &grant, Some(&lh), &mut spent);
+        assert!(
+            spent > 0 && spent < 100_000,
+            "C5 certifies well inside the grant"
+        );
+
+        let _on = crate::trace::arm();
+        for (fuel, expect) in [(100_000, spent), (3, 3)] {
+            let p =
+                Portfolio::new(PortfolioConfig::default().node_budget(fuel).cache(false)).unwrap();
+            crate::trace::begin(false);
+            let out = p.decide(&inst, 2);
+            let trace = crate::trace::take().expect("collection was active");
+            assert!(out.escalated);
+            // An exhausted search is charged its whole grant, not the
+            // node that tripped it.
+            assert_eq!(trace.fuel, expect, "fuel {fuel}");
+        }
     }
 
     #[test]

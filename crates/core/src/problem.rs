@@ -139,6 +139,7 @@ impl Instance {
             spill_cost: self.total_weight() - allocated_weight,
             allocated_weight,
             allocated,
+            witness: None,
         }
     }
 }
@@ -153,9 +154,21 @@ pub struct Allocation {
     pub spill_cost: Cost,
     /// Total weight of the allocated variables (the dual view).
     pub allocated_weight: Cost,
+    /// A colouring the allocator built while choosing `allocated`, when
+    /// it has one: entry `v` is the register of allocated vertex `v`
+    /// (entries of spilled vertices are meaningless). The verifier
+    /// falls back to checking it when it cannot find a colouring
+    /// itself ([`crate::verify::check`]).
+    pub witness: Option<Vec<u32>>,
 }
 
 impl Allocation {
+    /// Attaches a witness colouring ([`Allocation::witness`]).
+    pub fn with_witness(mut self, colors: Vec<u32>) -> Self {
+        self.witness = Some(colors);
+        self
+    }
+
     /// Number of spilled variables.
     pub fn spilled_count(&self, instance: &Instance) -> usize {
         instance.vertex_count() - self.allocated.len()

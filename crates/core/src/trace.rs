@@ -5,7 +5,7 @@
 //! evaluation reasons about — pipeline → spill round → phase
 //! (analysis, spill costs, instance build, allocate, verify, rewrite,
 //! reanalyse) — plus the side counters a phase budget needs: fuel
-//! granted to exact solves, per-round spill deltas, and result-cache
+//! consumed by exact solves, per-round spill deltas, and result-cache
 //! hit/miss attribution per shard.
 //!
 //! # Cost contract
@@ -235,7 +235,8 @@ pub struct TraceReport {
     pub rounds: u64,
     /// Total spill cost charged across recorded rounds.
     pub spill_delta: u64,
-    /// Exact-solve fuel (node budget) granted via [`add_fuel`].
+    /// Exact-solve fuel (DP masks and search nodes) consumed, via
+    /// [`add_fuel`].
     pub fuel: u64,
     /// Result-cache hits, per shard (see [`CACHE_SHARDS`]).
     pub shard_hits: [u64; CACHE_SHARDS],
@@ -425,8 +426,8 @@ fn with_report(record: impl FnOnce(&mut TraceReport)) {
     });
 }
 
-/// Records fuel (an exact-solve node budget) granted to this unit of
-/// work.
+/// Records exact-solve fuel (DP masks and search nodes) consumed by
+/// this unit of work.
 pub fn add_fuel(nodes: u64) {
     with_report(|r| r.fuel += nodes);
 }

@@ -35,14 +35,27 @@ impl Feasibility {
     }
 }
 
-/// Checks that `alloc` fits in `r` registers on `instance`.
+/// Checks that `alloc` fits in `r` registers on `instance`. When the
+/// verifier's own colourings give no answer (greedy fails on a graph
+/// too large for the exact search), the allocator's
+/// [`Allocation::witness`], if it is a proper `r`-colouring of the
+/// allocated vertices, proves the allocation feasible.
 pub fn check(instance: &Instance, alloc: &Allocation, r: u32) -> Feasibility {
-    check_set(instance, &alloc.allocated, r)
+    check_witnessed(instance, &alloc.allocated, alloc.witness.as_deref(), r)
 }
 
 /// Checks that the vertex set `allocated` induces an `r`-colourable
 /// subgraph of the instance graph.
 pub fn check_set(instance: &Instance, allocated: &BitSet, r: u32) -> Feasibility {
+    check_witnessed(instance, allocated, None, r)
+}
+
+fn check_witnessed(
+    instance: &Instance,
+    allocated: &BitSet,
+    witness: Option<&[u32]>,
+    r: u32,
+) -> Feasibility {
     let g = instance.graph();
 
     if let Some(cliques) = instance.maximal_cliques() {
@@ -124,7 +137,27 @@ pub fn check_set(instance: &Instance, allocated: &BitSet, r: u32) -> Feasibility
             None => Feasibility::Infeasible("no R-colouring exists (exact search)".into()),
         };
     }
-    Feasibility::Unknown
+    match witness {
+        Some(w) if is_proper_witness(instance, allocated, w, r) => Feasibility::Feasible(
+            (0..g.vertex_count())
+                .map(|v| if allocated.contains(v) { w[v] } else { 0 })
+                .collect(),
+        ),
+        _ => Feasibility::Unknown,
+    }
+}
+
+/// `true` when `colors` gives every allocated vertex a register below
+/// `r` and no two adjacent allocated vertices the same one.
+fn is_proper_witness(instance: &Instance, allocated: &BitSet, colors: &[u32], r: u32) -> bool {
+    let g = instance.graph();
+    colors.len() == g.vertex_count()
+        && allocated.iter().all(|v| {
+            colors[v] < r
+                && g.neighbor_indices(v)
+                    .iter()
+                    .all(|&u| !allocated.contains(u as usize) || colors[u as usize] != colors[v])
+        })
 }
 
 #[cfg(test)]
@@ -180,5 +213,42 @@ mod tests {
     fn empty_allocation_always_feasible() {
         let inst = instance(3, &[(0, 1), (1, 2), (0, 2)]);
         assert!(check_set(&inst, &BitSet::new(3), 0).is_feasible());
+    }
+
+    /// The crown graph on `2k` vertices (`u_i = 2i`, `v_i = 2i + 1`,
+    /// `u_i ~ v_j` for `i ≠ j`): bipartite, but greedy colouring in
+    /// index order needs `k` colours.
+    fn crown(k: usize) -> Instance {
+        let edges: Vec<(usize, usize)> = (0..k)
+            .flat_map(|i| {
+                (0..k)
+                    .filter(move |&j| j != i)
+                    .map(move |j| (2 * i, 2 * j + 1))
+            })
+            .collect();
+        instance(2 * k, &edges)
+    }
+
+    #[test]
+    fn a_proper_witness_decides_what_greedy_and_size_cannot() {
+        let inst = crown(25); // 50 allocated vertices: past the exact search
+        let all = BitSet::full(50);
+        assert_eq!(check_set(&inst, &all, 2), Feasibility::Unknown);
+        let sides: Vec<u32> = (0..50).map(|v| v as u32 % 2).collect();
+        let alloc = inst.allocation_from_set(all.clone());
+        let witnessed = alloc.clone().with_witness(sides.clone());
+        assert_eq!(check(&inst, &witnessed, 2), Feasibility::Feasible(sides));
+        // An improper or out-of-range witness proves nothing.
+        let mut clash = vec![0u32; 50];
+        clash[1] = 1;
+        assert_eq!(
+            check(&inst, &alloc.clone().with_witness(clash), 2),
+            Feasibility::Unknown
+        );
+        let wide: Vec<u32> = (0..50).map(|v| 2 + v as u32 % 2).collect();
+        assert_eq!(
+            check(&inst, &alloc.with_witness(wide), 2),
+            Feasibility::Unknown
+        );
     }
 }

@@ -340,7 +340,8 @@ pub fn alloc_response(id: u64, row: &ReportRow) -> String {
 /// **flat** scalar fields (the protocol's parser rejects nested
 /// containers by design): `trace_total_us`, one `phase_<name>_us`
 /// self-time per [`lra_core::trace::Phase`], `trace_rounds`,
-/// `trace_spill_delta`, `trace_fuel`, `trace_cache_hits` and
+/// `trace_spill_delta`, `trace_fuel` (exact-solve fuel consumed: DP
+/// masks plus search nodes, at most the grant), `trace_cache_hits` and
 /// `trace_cache_misses`. Without either extension this is byte-for-
 /// byte [`alloc_response`].
 pub fn alloc_response_traced(
